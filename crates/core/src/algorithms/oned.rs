@@ -178,6 +178,9 @@ fn syrk_1d_impl(
                 }
             })?;
         }
+        // A_ℓ is not needed past this point: free it before the
+        // collective rather than holding every rank's copy through it.
+        drop(a_l);
         // Line 4: Reduce-Scatter of the packed triangle, evenly split.
         let _span = comm.phase(PHASE_REDUCE_SCATTER_C);
         let segs: Vec<Vec<f64>> = {

@@ -10,7 +10,9 @@
 //! order.
 
 use syrk_dense::{limit_threads, machine_thread_budget, Diag, Matrix, PackedLower, Partition1D};
-use syrk_machine::{CostModel, FaultPlan, Machine, ProcessGrid, Timeline};
+use syrk_machine::{
+    Comm, CostModel, FaultPlan, GridComms, Machine, MachineError, ProcessGrid, Timeline,
+};
 
 use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
 use super::twod::twod_body;
@@ -230,47 +232,64 @@ fn syrk_3d_impl(
     let _threads = limit_threads(machine_thread_budget(machine.concurrent_ranks()));
     let out = machine.try_run(|mut comm| {
         let gc = grid.split(&mut comm);
-        // Line 3: run 2D SYRK within the slice on block column A_{*ℓ}.
-        // Phases (allgather-A, local-gemm, local-syrk) are pushed by the
-        // 2D body on the slice communicator; they land on this world
-        // rank's ledger because spans are per-rank, not per-communicator.
-        let cr = cols.range(gc.l);
-        let a_col = a.block_owned(0, cr.start, n1, cr.len());
-        let ad = ConformalADist::new(&dist, n1, cr.len());
-        let local = twod_body(&gc.slice, &dist, &ad, &a_col)?;
-        // Lines 4–5: Reduce-Scatter the partial C_k across Π_{k*}. The
-        // payloads are built straight from the block storage (no flat
-        // concatenation) and handed to the segment-based collective, which
-        // moves exactly the same words as the block interface.
-        let _span = comm.phase(PHASE_REDUCE_SCATTER_C);
-        let layout = CkLayout::new(&dist, &rows, gc.k);
-        let seg = Partition1D::new(layout.total, p2);
-        let mine = gc
-            .row
-            .try_reduce_scatter(layout.segments(&local, &seg.lens()))?;
+        // Line 3: run 2D SYRK within the slice on block column A_{*ℓ},
+        // read in place from the caller's A through the distribution's
+        // column window. Phases (allgather-A, local-gemm, local-syrk) are
+        // pushed by the 2D body on the slice communicator; they land on
+        // this world rank's ledger because spans are per-rank, not
+        // per-communicator.
+        let ad = ConformalADist::with_columns(&dist, n1, cols.range(gc.l));
+        let local = twod_body(&gc.slice, &dist, &ad, a)?;
+        let mine = reduce_scatter_ck(&comm, &gc, &dist, &rows, &local)?;
         Ok((gc.k, gc.l, mine))
     })?;
+    Ok((
+        SyrkRunResult {
+            c: assemble_3d(&dist, &rows, out.results),
+            cost: out.cost,
+        },
+        out.traces,
+    ))
+}
 
-    // Assembly: for each grid row k, concatenate the p2 final segments in
-    // ℓ order to recover the summed flat C_k, then unflatten.
+/// Lines 4–5 on one rank: Reduce-Scatter the partial `C_k` across
+/// `Π_{k*}`. The payloads are built straight from the block storage (no
+/// flat concatenation) and handed to the segment-based collective, which
+/// moves exactly the same words as the block interface.
+fn reduce_scatter_ck(
+    comm: &Comm,
+    gc: &GridComms,
+    dist: &TriangleBlockDist,
+    rows: &Partition1D,
+    local: &LocalOutput,
+) -> Result<Vec<f64>, MachineError> {
+    let _span = comm.phase(PHASE_REDUCE_SCATTER_C);
+    let layout = CkLayout::new(dist, rows, gc.k);
+    let seg = Partition1D::new(layout.total, gc.row.size());
+    gc.row
+        .try_reduce_scatter(layout.segments(local, &seg.lens()))
+}
+
+/// Assembly: for each grid row `k`, concatenate the `p2` final segments
+/// `(k, ℓ, segment)` in ℓ order to recover the summed flat `C_k`, then
+/// unflatten into `C`.
+fn assemble_3d(
+    dist: &TriangleBlockDist,
+    rows: &Partition1D,
+    results: Vec<(usize, usize, Vec<f64>)>,
+) -> Matrix<f64> {
+    let p1 = dist.p();
     let mut per_k: Vec<Vec<(usize, Vec<f64>)>> = vec![Vec::new(); p1];
-    for (k, l, seg) in out.results {
+    for (k, l, seg) in results {
         per_k[k].push((l, seg));
     }
     let mut outputs = Vec::with_capacity(p1);
     for (k, mut segs) in per_k.into_iter().enumerate() {
         segs.sort_by_key(|&(l, _)| l);
         let segs: Vec<Vec<f64>> = segs.into_iter().map(|(_, s)| s).collect();
-        outputs.push(CkLayout::new(&dist, &rows, k).assemble(&segs));
+        outputs.push(CkLayout::new(dist, rows, k).assemble(&segs));
     }
-    let c_full = assemble_c(n1, &rows, &outputs);
-    Ok((
-        SyrkRunResult {
-            c: c_full,
-            cost: out.cost,
-        },
-        out.traces,
-    ))
+    assemble_c(rows.n(), rows, &outputs)
 }
 
 #[cfg(test)]
@@ -292,6 +311,87 @@ mod tests {
             let run = syrk_3d(&a, c, p2, CostModel::bandwidth_only());
             let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
             assert!(err < 1e-10, "({n1},{n2},c={c},p2={p2}): err {err}");
+        }
+    }
+
+    /// Algorithm 3 with the staging that in-place reads replaced, kept
+    /// here only as the reference: every rank copies its whole block
+    /// column `A_{*ℓ}` and runs the 2D body on the copy.
+    fn syrk_3d_copied_columns(
+        a: &Matrix<f64>,
+        c: usize,
+        p2: usize,
+        model: CostModel,
+    ) -> SyrkRunResult {
+        let dist = TriangleBlockDist::new(c);
+        let (n1, n2) = a.shape();
+        let rows = Partition1D::new(n1, dist.num_blocks());
+        let cols = Partition1D::new(n2, p2);
+        let grid = ProcessGrid::new(dist.p(), p2);
+        let machine = Machine::new(dist.p() * p2).with_model(model);
+        let _threads = limit_threads(machine_thread_budget(machine.concurrent_ranks()));
+        let out = machine
+            .try_run(|mut comm| {
+                let gc = grid.split(&mut comm);
+                let cr = cols.range(gc.l);
+                let a_col = a.block_owned(0, cr.start, n1, cr.len());
+                let ad = ConformalADist::new(&dist, n1, cr.len());
+                let local = twod_body(&gc.slice, &dist, &ad, &a_col)?;
+                let mine = reduce_scatter_ck(&comm, &gc, &dist, &rows, &local)?;
+                Ok((gc.k, gc.l, mine))
+            })
+            .expect("reference run");
+        SyrkRunResult {
+            c: assemble_3d(&dist, &rows, out.results),
+            cost: out.cost,
+        }
+    }
+
+    #[test]
+    fn in_place_staging_matches_copied_block_columns() {
+        // c² ∤ n1, p2 ∤ n2, n1 < c² (empty row blocks), and p2 = 1.
+        for &(n1, n2, c, p2) in &[
+            (10usize, 10usize, 2usize, 4usize),
+            (13, 11, 2, 3),
+            (7, 9, 3, 2),
+            (23, 14, 3, 5),
+            (12, 9, 2, 1),
+        ] {
+            let a = seeded_matrix::<f64>(n1, n2, (n1 * 5 + n2 + c) as u64);
+            let model = CostModel::typical();
+            let got = try_syrk_3d(&a, c, p2, model, None).expect("in-place run");
+            let want = syrk_3d_copied_columns(&a, c, p2, model);
+            let ctx = format!("({n1}x{n2}, c={c}, p2={p2})");
+            let bits = |m: &Matrix<f64>| -> Vec<u64> {
+                m.as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(got.c.shape(), want.c.shape(), "{ctx}: shape of C");
+            assert_eq!(bits(&got.c), bits(&want.c), "{ctx}: C");
+            let (g, w) = (&got.cost, &want.cost);
+            assert_eq!(g.ranks.len(), w.ranks.len(), "{ctx}: ranks");
+            for (r, (gr, wr)) in g.ranks.iter().zip(&w.ranks).enumerate() {
+                assert_eq!(
+                    (gr.words_sent, gr.words_recv),
+                    (wr.words_sent, wr.words_recv),
+                    "{ctx}: words on rank {r}"
+                );
+                assert_eq!(
+                    (gr.msgs_sent, gr.msgs_recv),
+                    (wr.msgs_sent, wr.msgs_recv),
+                    "{ctx}: messages on rank {r}"
+                );
+                assert_eq!(
+                    gr.peak_buffer_words, wr.peak_buffer_words,
+                    "{ctx}: buffer peak on rank {r}"
+                );
+                assert_eq!(gr.flops, wr.flops, "{ctx}: flops on rank {r}");
+                assert_eq!(
+                    gr.clock.to_bits(),
+                    wr.clock.to_bits(),
+                    "{ctx}: clock on rank {r}"
+                );
+            }
+            assert_eq!(g.phases, w.phases, "{ctx}: phase rows");
         }
     }
 

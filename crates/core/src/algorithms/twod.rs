@@ -8,6 +8,8 @@
 //! its diagonal block (if assigned) with a local SYRK. No contribution to
 //! `C` is ever communicated — only parts of `A`.
 
+use std::borrow::Cow;
+
 use syrk_dense::{
     available_threads, balanced_chunks_by_cost, gemm_flops, limit_threads, machine_thread_budget,
     mul_nt, par_for_each_task, steal_task_count, syrk_flops, syrk_packed_new, Diag, Matrix,
@@ -21,15 +23,16 @@ use crate::error::SyrkError;
 use crate::planner::PlanError;
 
 /// The SPMD body of Algorithm 2, reused verbatim by each slice of the 3D
-/// algorithm (Alg. 3 line 3). `a_slice` is the `n1 × n2_local` input this
-/// communicator is responsible for; `comm.size()` must be `c(c+1)`.
+/// algorithm (Alg. 3 line 3). `a` is the caller's whole input, read in
+/// place: `ad`'s column window selects the `n1 × n2_local` block this
+/// communicator is responsible for. `comm.size()` must be `c(c+1)`.
 pub(crate) fn twod_body(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
-    a_slice: &Matrix<f64>,
+    a: &Matrix<f64>,
 ) -> Result<LocalOutput, MachineError> {
-    twod_body_impl(comm, dist, ad, a_slice, false, false)
+    twod_body_impl(comm, dist, ad, a, false, false)
 }
 
 /// Like [`twod_body`] but with the exchange buffer `B` padded to `P`
@@ -41,13 +44,13 @@ pub(crate) fn twod_body_impl(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
-    a_slice: &Matrix<f64>,
+    a: &Matrix<f64>,
     padded: bool,
     abft: bool,
 ) -> Result<LocalOutput, MachineError> {
     assert_eq!(comm.size(), dist.p(), "2D body needs exactly c(c+1) ranks");
     let k = comm.rank();
-    let n2l = a_slice.cols();
+    let n2l = ad.n2();
     // The paper's fixed block size for B: n1n2 / (c²(c+1)), rounded up to
     // cover uneven chunk splits. Only the padded variant ships it, and
     // the scan touches every chunk of every row block, so the tight path
@@ -61,13 +64,13 @@ pub(crate) fn twod_body_impl(
         0
     };
 
-    // Initial distribution: my chunk of each row block in R_k, staged
-    // once per block (each chunk ships to c partners and is reused in
-    // the reassembly below).
+    // Initial distribution: my chunk of each row block in R_k, copied out
+    // of the caller's A once per block (each chunk ships to c partners
+    // and is reused in the reassembly below). Nothing else of A is copied.
     let my_chunks: Vec<(usize, Vec<f64>)> = dist
         .r_set(k)
         .iter()
-        .map(|&i| (i, ad.extract_chunk(a_slice, i, k)))
+        .map(|&i| (i, ad.extract_chunk(a, i, k)))
         .collect();
     let my_chunk = |i: usize| -> &[f64] {
         &my_chunks
@@ -144,32 +147,35 @@ pub(crate) fn twod_body_impl(
 
     // Lines 10–14: reassemble each full row block A_i from the chunks of
     // Q_i (mine plus the one received from every other member; padded
-    // buffers are truncated back to the true chunk length). Q_i order
-    // *is* chunk order, so each chunk's length comes straight from the
-    // block's partition — and the sparse results arrive in exactly this
-    // iteration order (the order the receive plan was built in), so a
-    // plain cursor pairs them up.
+    // buffers are truncated back to the true chunk length), each copied
+    // once into the block's own buffer. Q_i order *is* chunk order, so
+    // each chunk's length comes straight from the block's partition — and
+    // the sparse results arrive in exactly this iteration order (the
+    // order the receive plan was built in), so a plain cursor pairs them
+    // up. Each partner shares one row block with me, so a dense buffer is
+    // taken exactly once.
     let gathered: Vec<(usize, Matrix<f64>)> = dist
         .r_set(k)
         .iter()
         .map(|&i| {
             let part = ad.chunk_partition(i);
-            let chunks: Vec<Vec<f64>> = dist
-                .q_set(i)
-                .iter()
-                .enumerate()
-                .map(|(pos, &m)| {
-                    if m == k {
-                        return my_chunk(i).to_vec();
+            let chunks = dist.q_set(i).iter().enumerate().map(|(pos, &m)| {
+                if m == k {
+                    return Cow::Borrowed(my_chunk(i));
+                }
+                match &mut received {
+                    Exchange::Dense(bufs) => {
+                        let mut buf = std::mem::take(&mut bufs[m]);
+                        buf.truncate(part.len(pos));
+                        Cow::Owned(buf)
                     }
-                    match &mut received {
-                        Exchange::Dense(bufs) => bufs[m][..part.len(pos)].to_vec(),
-                        Exchange::Sparse(it) if part.len(pos) == 0 => Vec::new(),
-                        Exchange::Sparse(it) => it.next().expect("one block per planned receive"),
+                    Exchange::Sparse(_) if part.len(pos) == 0 => Cow::Borrowed(&[][..]),
+                    Exchange::Sparse(it) => {
+                        Cow::Owned(it.next().expect("one block per planned receive"))
                     }
-                })
-                .collect();
-            (i, ad.assemble_block(i, &chunks))
+                }
+            });
+            (i, ad.assemble_block(i, chunks))
         })
         .collect();
     comm.note_buffer(
@@ -263,8 +269,7 @@ pub(crate) fn twod_body_impl(
         for blk in &out.offdiag {
             let (ai, aj) = (block_for(blk.i), block_for(blk.j));
             comm.add_flops(crate::abft::block_check_flops(ai.rows(), aj.rows(), n2l));
-            crate::abft::verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j)
-                .map_err(&corrupt)?;
+            crate::abft::verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
         }
         for blk in &out.diag {
             let ai = block_for(blk.i);

@@ -129,10 +129,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Copy the block at `(row0, col0)` of size `rows × cols` into a new
-    /// owned matrix.
+    /// owned matrix, whole rows at a time.
     pub fn block_owned(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Matrix<T> {
-        let v = self.block(row0, col0, rows, cols);
-        Matrix::from_fn(rows, cols, |i, j| v[(i, j)])
+        self.block(row0, col0, rows, cols).to_owned_matrix()
     }
 
     /// Write `src` into the block at `(row0, col0)`.
@@ -254,6 +253,22 @@ mod tests {
         assert_eq!(z[(1, 2)], 6.0);
         assert_eq!(z[(2, 3)], 11.0);
         assert_eq!(z[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn block_owned_copies_interior_empty_and_full_blocks() {
+        let m = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f64);
+        // Strided interior block: rows 1..4, columns 2..6.
+        let b = m.block_owned(1, 2, 3, 4);
+        assert_eq!(b, Matrix::from_fn(3, 4, |i, j| m[(i + 1, j + 2)]));
+        // Zero-row and zero-column blocks, including at the far edges.
+        assert_eq!(m.block_owned(2, 3, 0, 4).shape(), (0, 4));
+        assert_eq!(m.block_owned(5, 0, 0, 7).shape(), (0, 7));
+        assert_eq!(m.block_owned(1, 3, 4, 0).shape(), (4, 0));
+        assert_eq!(m.block_owned(0, 7, 5, 0).shape(), (5, 0));
+        assert!(m.block_owned(1, 3, 4, 0).is_empty());
+        // The full matrix.
+        assert_eq!(m.block_owned(0, 0, 5, 7), m);
     }
 
     #[test]

@@ -65,9 +65,13 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
         )
     }
 
-    /// Copy into a new owned matrix.
+    /// Copy into a new owned matrix, one whole row at a time.
     pub fn to_owned_matrix(&self) -> crate::matrix::Matrix<T> {
-        crate::matrix::Matrix::from_fn(self.rows, self.cols, |i, j| self[(i, j)])
+        let mut data = Vec::with_capacity(self.rows * self.cols);
+        for i in 0..self.rows {
+            data.extend_from_slice(self.row(i));
+        }
+        crate::matrix::Matrix::from_vec(self.rows, self.cols, data)
     }
 }
 

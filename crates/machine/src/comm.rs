@@ -701,22 +701,24 @@ impl Comm {
         Some(env)
     }
 
-    /// Watchdog declaration: first rank to flip the abort flag snapshots
-    /// the wait-for graph; racers get `None` and report the cascade.
+    /// Watchdog declaration: the first rank to claim the empty first-error
+    /// slot snapshots the wait-for graph and records it; racers, and any
+    /// rank arriving after another failure, get `None` and report the
+    /// cascade. The abort is published only after the snapshot: a peer
+    /// that saw it earlier would leave its receive and clear its edge
+    /// before the snapshot could read it.
     fn declare_deadlock(&self) -> Option<DeadlockInfo> {
         let world = &*self.world;
-        if world
-            .aborted
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return None;
-        }
-        let info = world.snapshot_deadlock();
-        let mut slot = world.first_error.lock();
-        if slot.is_none() {
+        let info = {
+            let mut slot = world.first_error.lock();
+            if slot.is_some() || world.aborted.load(Ordering::SeqCst) {
+                return None;
+            }
+            let info = world.snapshot_deadlock();
             *slot = Some((self.world_rank(), MachineError::Deadlock(info.clone())));
-        }
+            info
+        };
+        world.aborted.store(true, Ordering::SeqCst);
         Some(info)
     }
 

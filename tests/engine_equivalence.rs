@@ -259,6 +259,43 @@ fn deadlock_diagnostics_are_identical_across_engines() {
 }
 
 #[test]
+fn threaded_deadlock_snapshot_keeps_every_edge_under_repetition() {
+    // The watchdog must snapshot the wait-for graph before it publishes
+    // the abort: a peer that sees the abort first clears its own edge on
+    // the way out, and the diagnostic then loses it. Repeated on a few
+    // concurrent workers so the declaring thread gets preempted often.
+    const RUNS: usize = 200;
+    const WORKERS: usize = 4;
+    let deadlock = || {
+        Machine::new(3)
+            .with_engine(EngineKind::Threaded)
+            .with_watchdog(Duration::from_millis(1))
+            .try_run(|comm| -> Result<(), MachineError> {
+                if comm.rank() == 2 {
+                    return Ok(());
+                }
+                let peer = 1 - comm.rank();
+                let _: Vec<f64> = comm.try_recv(peer, 99)?;
+                Ok(())
+            })
+            .expect_err("mutual recv must deadlock")
+    };
+    std::thread::scope(|s| {
+        for w in 0..WORKERS {
+            s.spawn(move || {
+                for run in (w..RUNS).step_by(WORKERS) {
+                    let MachineError::Deadlock(info) = deadlock() else {
+                        panic!("run {run}: expected Deadlock");
+                    };
+                    assert_eq!(info.edges.len(), 2, "run {run}: {info:?}");
+                    assert_eq!(info.finished, vec![2], "run {run}");
+                }
+            });
+        }
+    });
+}
+
+#[test]
 fn event_engine_handles_algorithm_scale_beyond_thread_limits() {
     // A real 2D SYRK at P = 552 ranks (c = 23): far beyond what the
     // threaded engine is run at in CI, single process, correct result.
